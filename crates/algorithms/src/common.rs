@@ -9,47 +9,51 @@ use std::sync::Arc;
 /// of the Connected Components dataflows.  For undirected graphs the CSR
 /// already contains both directions.
 pub fn edge_records(graph: &Graph) -> Arc<Vec<Record>> {
-    Arc::new(
+    let mut records = Vec::with_capacity(graph.num_edges());
+    records.extend(
         graph
             .edges()
-            .map(|(s, t)| Record::pair(i64::from(s), i64::from(t)))
-            .collect(),
-    )
+            .map(|(s, t)| Record::pair(i64::from(s), i64::from(t))),
+    );
+    Arc::new(records)
 }
 
 /// The graph's edges as `(vid1, vid2, out_degree(vid1))` records, used by the
 /// adaptive PageRank expansion which needs the degree to split pushed mass.
 pub fn edge_records_with_degree(graph: &Graph) -> Arc<Vec<Record>> {
-    Arc::new(
-        graph
-            .edges()
-            .map(|(s, t)| {
-                Record::new(vec![
-                    i64::from(s).into(),
-                    i64::from(t).into(),
-                    (graph.degree(s) as i64).into(),
-                ])
-            })
-            .collect(),
-    )
+    let mut records = Vec::with_capacity(graph.num_edges());
+    records.extend(graph.edges().map(|(s, t)| {
+        Record::new(vec![
+            i64::from(s).into(),
+            i64::from(t).into(),
+            (graph.degree(s) as i64).into(),
+        ])
+    }));
+    Arc::new(records)
 }
 
 /// The initial Connected Components solution: every vertex is its own
 /// component, `(vid, cid = vid)`.
 pub fn initial_components(graph: &Graph) -> Vec<Record> {
-    graph
-        .vertices()
-        .map(|v| Record::pair(i64::from(v), i64::from(v)))
-        .collect()
+    let mut records = Vec::with_capacity(graph.num_vertices());
+    records.extend(
+        graph
+            .vertices()
+            .map(|v| Record::pair(i64::from(v), i64::from(v))),
+    );
+    records
 }
 
 /// The initial Connected Components working set: for every edge `(a, b)` the
 /// candidate pair `(b, cid(a) = a)`, exactly as in Section 2.2.
 pub fn initial_component_candidates(graph: &Graph) -> Vec<Record> {
-    graph
-        .edges()
-        .map(|(s, t)| Record::pair(i64::from(t), i64::from(s)))
-        .collect()
+    let mut records = Vec::with_capacity(graph.num_edges());
+    records.extend(
+        graph
+            .edges()
+            .map(|(s, t)| Record::pair(i64::from(t), i64::from(s))),
+    );
+    records
 }
 
 /// The sparse transition matrix of PageRank as `(tid, pid, probability)`

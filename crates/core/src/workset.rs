@@ -469,15 +469,23 @@ impl WorksetIteration {
     ) -> Vec<FxHashMap<Key, Vec<Record>>> {
         let mut index: Vec<FxHashMap<Key, Vec<Record>>> =
             vec![FxHashMap::default(); router.parallelism()];
-        for record in self.constant_input.iter() {
-            let partition = router.route(record, &self.constant_key);
-            if !cluster.owns(partition, router.parallelism()) {
-                continue;
+        let key = &self.constant_key;
+        let same_key = |a: &Record, b: &Record| key.iter().all(|&f| a.field(f) == b.field(f));
+        // Constant inputs usually arrive grouped by key (edge lists in CSR
+        // order), so each run of equal keys is routed once and copied into
+        // its group in one exact-size allocation.
+        let mut rest = self.constant_input.as_slice();
+        while let Some(first) = rest.first() {
+            let run = rest.iter().take_while(|r| same_key(first, r)).count();
+            let (group, tail) = rest.split_at(run);
+            rest = tail;
+            let partition = router.route(first, key);
+            if cluster.owns(partition, router.parallelism()) {
+                index[partition]
+                    .entry(Key::extract(first, key))
+                    .or_default()
+                    .extend_from_slice(group);
             }
-            index[partition]
-                .entry(Key::extract(record, &self.constant_key))
-                .or_default()
-                .push(record.clone());
         }
         index
     }
@@ -1785,14 +1793,8 @@ mod tests {
         let names = ["a", "b", "c"];
         let mut edges = Vec::new();
         for w in [["a", "b"], ["b", "c"]] {
-            edges.push(Record::new(vec![
-                Value::Text(w[0].into()),
-                Value::Text(w[1].into()),
-            ]));
-            edges.push(Record::new(vec![
-                Value::Text(w[1].into()),
-                Value::Text(w[0].into()),
-            ]));
+            edges.push(Record::new(vec![Value::from(w[0]), Value::from(w[1])]));
+            edges.push(Record::new(vec![Value::from(w[1]), Value::from(w[0])]));
         }
         let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
             .constant_input(Arc::new(edges), vec![0], vec![0])
@@ -1801,11 +1803,11 @@ mod tests {
         let solution: Vec<Record> = names
             .iter()
             .enumerate()
-            .map(|(i, n)| Record::new(vec![Value::Text((*n).into()), Value::Long(10 + i as i64)]))
+            .map(|(i, n)| Record::new(vec![Value::from(*n), Value::Long(10 + i as i64)]))
             .collect();
         let workset: Vec<Record> = vec![
-            Record::new(vec![Value::Text("b".into()), Value::Long(10)]),
-            Record::new(vec![Value::Text("c".into()), Value::Long(11)]),
+            Record::new(vec![Value::from("b"), Value::Long(10)]),
+            Record::new(vec![Value::from("c"), Value::Long(11)]),
         ];
         let config = WorksetConfig::new(2);
         let paged = iteration

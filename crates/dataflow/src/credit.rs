@@ -60,6 +60,11 @@ struct ChannelState<T> {
     senders: usize,
     /// Cleared when the receiver drops; blocked senders then fail fast.
     receiver_alive: bool,
+    /// Senders and receivers parked on `send_cv` / `recv_cv`.  Maintained
+    /// under the mutex, so a zero count means a notify would wake no one and
+    /// the (syscall-costly) notify is skipped.
+    blocked_senders: usize,
+    blocked_receivers: usize,
 }
 
 struct ChannelCore<T> {
@@ -149,6 +154,8 @@ pub fn credit_channel<T>(
             high_water: 0,
             senders: 1,
             receiver_alive: true,
+            blocked_senders: 0,
+            blocked_receivers: 0,
         }),
         recv_cv: Condvar::new(),
         send_cv: Condvar::new(),
@@ -175,7 +182,9 @@ impl<T> CreditSender<T> {
         self.edge.in_use.store(used, Ordering::Relaxed);
         state.high_water = state.high_water.max(used);
         state.queue.push_back((Arc::clone(&self.edge), item));
-        self.core.recv_cv.notify_one();
+        if state.blocked_receivers > 0 {
+            self.core.recv_cv.notify_one();
+        }
     }
 
     /// Enqueues `item` if the edge has a free credit, without blocking.
@@ -213,12 +222,14 @@ impl<T> CreditSender<T> {
             if now >= deadline {
                 return Err(SendError::Timeout(item));
             }
+            state.blocked_senders += 1;
             let (guard, _) = self
                 .core
                 .send_cv
                 .wait_timeout(state, deadline - now)
                 .unwrap();
             state = guard;
+            state.blocked_senders -= 1;
         }
     }
 }
@@ -240,7 +251,7 @@ impl<T> Drop for CreditSender<T> {
     fn drop(&mut self) {
         let mut state = self.core.state.lock().unwrap();
         state.senders -= 1;
-        if state.senders == 0 {
+        if state.senders == 0 && state.blocked_receivers > 0 {
             // The receiver may be waiting for "a record or every sender gone".
             self.core.recv_cv.notify_all();
         }
@@ -254,7 +265,9 @@ impl<T> CreditReceiver<T> {
             edge.in_use.store(used.saturating_sub(1), Ordering::Relaxed);
             // Any edge may be blocked; the freed credit belongs to exactly
             // one of them, so wake them all and let each re-check its pool.
-            self.core.send_cv.notify_all();
+            if state.blocked_senders > 0 {
+                self.core.send_cv.notify_all();
+            }
             item
         })
     }
@@ -285,12 +298,14 @@ impl<T> CreditReceiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
+            state.blocked_receivers += 1;
             let (guard, _) = self
                 .core
                 .recv_cv
                 .wait_timeout(state, deadline - now)
                 .unwrap();
             state = guard;
+            state.blocked_receivers -= 1;
         }
     }
 
@@ -311,7 +326,9 @@ impl<T> Drop for CreditReceiver<T> {
         let mut state = self.core.state.lock().unwrap();
         state.receiver_alive = false;
         state.queue.clear();
-        self.core.send_cv.notify_all();
+        if state.blocked_senders > 0 {
+            self.core.send_cv.notify_all();
+        }
     }
 }
 

@@ -385,8 +385,28 @@ impl Executor {
             compute_chain_segments(physical)
         };
 
+        // Producers whose every consumer edge is served from the cache need
+        // not run at all; their edges' uses are released up front, so the
+        // remaining consumers of their inputs can still move records.
+        let served = served_from_cache(physical, &order, cache);
+        for op in plan.operators().iter().filter(|op| served[op.id.0]) {
+            for input in &op.inputs {
+                remaining_uses[input.0] -= 1;
+            }
+        }
+
         for id in order {
             let op = plan.operator(id);
+            if served[id.0] {
+                // Reported as a row that consumed and produced nothing, so
+                // every execution of the same plan lists the same operators.
+                stats.operators.push(OperatorStats {
+                    name: op.name.clone(),
+                    contract: op.kind.contract_name().to_owned(),
+                    ..OperatorStats::default()
+                });
+                continue;
+            }
             if let Some(&(seg, pos)) = chain.member_of.get(&id) {
                 // Non-tail members run inside their segment's pipeline; the
                 // whole segment executes when the topological walk reaches
@@ -1312,6 +1332,36 @@ fn run_chained(
         ),
     }
     Ok(records_in)
+}
+
+/// Marks the operators whose output no one needs in this execution: every
+/// consumer edge is either a hit in `cache` or leads to another such
+/// operator.  Sinks always run (their records are the result), and so do
+/// operators without consumers.
+fn served_from_cache(
+    physical: &PhysicalPlan,
+    order: &[OperatorId],
+    cache: &IntermediateCache,
+) -> Vec<bool> {
+    let plan = &physical.plan;
+    let mut consumers: Vec<Vec<(OperatorId, usize)>> = vec![Vec::new(); plan.len()];
+    for op in plan.operators() {
+        for (slot, input) in op.inputs.iter().enumerate() {
+            consumers[input.0].push((op.id, slot));
+        }
+    }
+    let mut served = vec![false; plan.len()];
+    for &id in order.iter().rev() {
+        let op = plan.operator(id);
+        served[id.0] = !matches!(op.kind, OperatorKind::Sink { .. })
+            && !consumers[id.0].is_empty()
+            && consumers[id.0].iter().all(|&(consumer, slot)| {
+                served[consumer.0]
+                    || (physical.choice(consumer).cache_inputs[slot]
+                        && cache.entries.contains_key(&(consumer, slot)))
+            });
+    }
+    served
 }
 
 /// Builds (or reuses) the shared range histogram of one operator.
@@ -3017,6 +3067,66 @@ mod tests {
             first.sink("out").unwrap().len(),
             second.sink("out").unwrap().len()
         );
+    }
+
+    #[test]
+    fn producers_served_from_the_cache_do_not_run() {
+        let mut plan = Plan::new();
+        let left = plan.source("left", (0..50).map(|i| Record::pair(i, i)).collect());
+        let right = plan.source("right", (0..50).map(|i| Record::pair(i, -i)).collect());
+        let negate = plan.map(
+            "negate",
+            right,
+            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
+                out.collect(Record::pair(r.long(0), -r.long(1)));
+            })),
+        );
+        let join = plan.match_join(
+            "join",
+            left,
+            negate,
+            vec![0],
+            vec![0],
+            Arc::new(MatchClosure(
+                |l: &Record, r: &Record, out: &mut Collector| {
+                    out.collect(Record::pair(l.long(1), r.long(1)));
+                },
+            )),
+        );
+        plan.sink("out", join);
+        let mut phys = default_physical_plan(&plan, 2).unwrap();
+        phys.cache_input(join, 1);
+        let mut cache = IntermediateCache::new();
+        let exec = Executor::new();
+        let first = exec.execute_with_cache(&phys, &mut cache).unwrap();
+        let second = exec.execute_with_cache(&phys, &mut cache).unwrap();
+
+        // The cached edge's producer and, transitively, its source are
+        // skipped: they keep their rows, with nothing consumed or produced.
+        let rows = |r: &ExecutionResult| -> Vec<(String, usize)> {
+            r.stats
+                .operators
+                .iter()
+                .map(|o| (o.name.clone(), o.records_out))
+                .collect()
+        };
+        let (first_rows, second_rows) = (rows(&first), rows(&second));
+        assert_eq!(
+            first_rows.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+            second_rows.iter().map(|(n, _)| n).collect::<Vec<_>>()
+        );
+        for name in ["right", "negate"] {
+            assert_eq!(first.stats.records_out_of(name), 50);
+            assert_eq!(second.stats.records_out_of(name), 0);
+        }
+        assert_eq!(second.stats.records_out_of("left"), 50);
+        let sorted = |r: &ExecutionResult| {
+            let mut out = r.sink("out").unwrap().to_vec();
+            out.sort();
+            out
+        };
+        assert_eq!(sorted(&first), sorted(&second));
+        assert_eq!(sorted(&second).len(), 50);
     }
 
     #[test]

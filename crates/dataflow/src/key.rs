@@ -473,7 +473,7 @@ mod tests {
             Value::Bool(true),
             Value::Long(-3),
             Value::Double(2.25),
-            Value::Text("hello world, longer than eight bytes".into()),
+            Value::from("hello world, longer than eight bytes"),
         ];
         for v in values {
             let r = Record::new(vec![v.clone()]);
@@ -553,10 +553,7 @@ mod tests {
         for v in 0..100 {
             map.insert(Key::long(v), v * 2);
         }
-        map.insert(
-            Key::from_values(vec![Value::Long(1), Value::Text("x".into())]),
-            -1,
-        );
+        map.insert(Key::from_values(vec![Value::Long(1), Value::from("x")]), -1);
         for v in 0..100 {
             assert_eq!(map[&Key::long(v)], v * 2);
             // Lookup through the composite representation must hit the same

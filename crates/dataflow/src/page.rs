@@ -234,7 +234,7 @@ fn deserialize_value(bytes: &[u8], offset: &mut usize) -> Value {
             let s = std::str::from_utf8(&bytes[*offset..end])
                 .expect("pages store valid UTF-8 text fields");
             *offset = end;
-            Value::Text(s.to_owned())
+            Value::from(s)
         }
         other => panic!("corrupt page: unknown value tag {other}"),
     }
@@ -247,10 +247,9 @@ fn deserialize_value(bytes: &[u8], offset: &mut usize) -> Value {
 pub(crate) fn read_framed_record(bytes: &[u8], offset: &mut usize, target: &mut Record) {
     let len = u32::from_le_bytes(read_array(bytes, offset)) as usize;
     let end = *offset + len;
-    target.clear();
-    while *offset < end {
-        target.push(deserialize_value(bytes, offset));
-    }
+    target.refill(std::iter::from_fn(|| {
+        (*offset < end).then(|| deserialize_value(bytes, offset))
+    }));
 }
 
 // ---------------------------------------------------------------------------
@@ -419,6 +418,10 @@ impl PageWriter {
         if !self.buf.is_empty() && self.buf.len() + width > self.page_bytes {
             self.seal();
         }
+        if self.buf.capacity() == 0 {
+            // One page-sized allocation instead of a doubling series.
+            self.buf.reserve_exact(self.page_bytes.max(width));
+        }
         serialize_record_with_width(record, width, &mut self.buf);
         self.records += 1;
         self.total_records += 1;
@@ -584,16 +587,15 @@ impl<'a> RecordView<'a> {
         record
     }
 
-    /// Deserializes the record into `target`, reusing its field buffer (the
-    /// receive-side scratch-record pattern: iterating a page this way
-    /// allocates nothing for fixed-width fields once the buffer has warmed
-    /// up).
+    /// Deserializes the record into `target`, reusing its heap vector if it
+    /// has one (the receive-side scratch-record pattern: iterating a page
+    /// this way allocates nothing for fixed-width fields, and records of at
+    /// most two fields never touch the heap).
     pub fn read_into(&self, target: &mut Record) {
-        target.clear();
         let mut offset = 0;
-        while offset < self.payload.len() {
-            target.push(deserialize_value(self.payload, &mut offset));
-        }
+        target.refill(std::iter::from_fn(|| {
+            (offset < self.payload.len()).then(|| deserialize_value(self.payload, &mut offset))
+        }));
     }
 
     /// Reads the `i64` stored in field `idx` straight from the page bytes,
@@ -1436,11 +1438,11 @@ mod tests {
                 Value::Bool(true),
                 Value::Long(i64::MIN),
                 Value::Double(-0.0),
-                Value::Text("héllo 日本語 🦀".into()),
+                Value::from("héllo 日本語 🦀"),
             ]),
             Record::empty(),
             Record::long_double(i64::MAX, f64::NAN),
-            Record::new(vec![Value::Text(String::new())]),
+            Record::new(vec![Value::from(String::new())]),
         ]
     }
 
@@ -1487,7 +1489,7 @@ mod tests {
 
     #[test]
     fn oversized_records_get_a_private_page() {
-        let big = Record::new(vec![Value::Text("x".repeat(1000))]);
+        let big = Record::new(vec![Value::from("x".repeat(1000))]);
         let mut writer = PageWriter::with_page_bytes(64);
         writer.push(&Record::pair(1, 2));
         writer.push(&big);
@@ -1508,9 +1510,9 @@ mod tests {
         // could in principle have accepted more records silently.)
         for page_bytes in [32usize, 64, 200] {
             let mut records = vec![Record::pair(1, 2)];
-            records.push(Record::new(vec![Value::Text("y".repeat(3 * page_bytes))]));
+            records.push(Record::new(vec![Value::from("y".repeat(3 * page_bytes))]));
             records.extend((0..50).map(|i| Record::pair(i, -i)));
-            records.push(Record::new(vec![Value::Text("z".repeat(2 * page_bytes))]));
+            records.push(Record::new(vec![Value::from("z".repeat(2 * page_bytes))]));
             records.extend((50..80).map(|i| Record::pair(i, -i)));
             let mut writer = PageWriter::with_page_bytes(page_bytes);
             for r in &records {
@@ -1683,7 +1685,7 @@ mod tests {
     fn view_reads_arbitrary_key_fields_in_place() {
         let mut writer = PageWriter::new();
         writer.push(&Record::new(vec![
-            Value::Text("pad".into()),
+            Value::from("pad"),
             Value::Long(-9),
             Value::Double(2.5),
         ]));

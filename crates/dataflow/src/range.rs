@@ -345,14 +345,14 @@ mod tests {
     #[test]
     fn composite_keys_route_through_the_generic_path() {
         let sample = vec![
-            Key::from_values(vec![Value::Text("b".into())]),
-            Key::from_values(vec![Value::Text("d".into())]),
-            Key::from_values(vec![Value::Text("f".into())]),
-            Key::from_values(vec![Value::Text("h".into())]),
+            Key::from_values(vec![Value::from("b")]),
+            Key::from_values(vec![Value::from("d")]),
+            Key::from_values(vec![Value::from("f")]),
+            Key::from_values(vec![Value::from("h")]),
         ];
         let bounds = RangeBounds::from_sample(sample, 2);
-        let a = Record::new(vec![Value::Text("a".into())]);
-        let z = Record::new(vec![Value::Text("z".into())]);
+        let a = Record::new(vec![Value::from("a")]);
+        let z = Record::new(vec![Value::from("z")]);
         assert!(bounds.partition_for_record(&a, &[0]) <= bounds.partition_for_record(&z, &[0]));
         assert!(bounds.long_splitters.is_none());
     }

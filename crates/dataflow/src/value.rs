@@ -28,9 +28,12 @@ pub enum Value {
     Long(i64),
     /// A 64-bit float; ranks and transition probabilities use this.
     Double(f64),
-    /// A small string label.
-    Text(String),
+    /// A small string label.  Boxed so that the rare text payload keeps
+    /// every value at 16 bytes: an inline pair record stays small.
+    Text(Box<String>),
 }
+
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 /// The type tag of [`Value::Long`], shared with the key-hashing fast path in
 /// [`crate::key`] so the inline-long hash stays byte-identical to the generic
@@ -203,13 +206,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Text(v.to_owned())
+        Value::Text(Box::new(v.to_owned()))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Text(v)
+        Value::Text(Box::new(v))
     }
 }
 
@@ -243,7 +246,7 @@ mod tests {
     fn ordering_within_types_is_natural() {
         assert!(Value::Long(3) < Value::Long(7));
         assert!(Value::Double(1.0) < Value::Double(2.0));
-        assert!(Value::Text("a".into()) < Value::Text("b".into()));
+        assert!(Value::from("a") < Value::from("b"));
     }
 
     #[test]
@@ -266,14 +269,14 @@ mod tests {
         assert_eq!(Value::Long(1).estimated_bytes(), 9);
         assert_eq!(Value::Double(0.5).estimated_bytes(), 9);
         assert_eq!(Value::Bool(true).estimated_bytes(), 2);
-        assert_eq!(Value::Text("abcd".into()).estimated_bytes(), 9);
+        assert_eq!(Value::from("abcd").estimated_bytes(), 9);
         assert_eq!(Value::Null.estimated_bytes(), 1);
     }
 
     #[test]
     #[should_panic(expected = "expected Long")]
     fn wrong_accessor_panics() {
-        Value::Text("x".into()).as_long();
+        Value::from("x").as_long();
     }
 
     #[test]

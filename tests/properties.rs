@@ -32,26 +32,27 @@ fn arbitrary_graph(rng: &mut SmallRng) -> Graph {
     Graph::undirected_from_edges(n, &edges)
 }
 
+/// A random value of any type.
+fn arbitrary_value(rng: &mut SmallRng) -> Value {
+    match rng.gen_index(5) {
+        0 => Value::Long(rng.next_u64() as i64),
+        1 => Value::Double(rng.gen_f64() * 1e6 - 5e5),
+        2 => Value::Bool(rng.gen_index(2) == 0),
+        // Text mixes single- and multi-byte UTF-8 so the byte-oriented
+        // page format is exercised on non-ASCII boundaries.
+        3 => Value::from(match rng.gen_index(3) {
+            0 => format!("t{}", rng.gen_index(1000)),
+            1 => format!("日本語·{}", rng.gen_index(100)),
+            _ => format!("🦀✓héllo{}", rng.gen_index(10)),
+        }),
+        _ => Value::Null,
+    }
+}
+
 /// A random record mixing every value type, exercising composite keys.
 fn arbitrary_record(rng: &mut SmallRng) -> Record {
     let arity = 1 + rng.gen_index(4);
-    let mut fields = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        fields.push(match rng.gen_index(5) {
-            0 => Value::Long(rng.next_u64() as i64),
-            1 => Value::Double(rng.gen_f64() * 1e6 - 5e5),
-            2 => Value::Bool(rng.gen_index(2) == 0),
-            // Text mixes single- and multi-byte UTF-8 so the byte-oriented
-            // page format is exercised on non-ASCII boundaries.
-            3 => Value::Text(match rng.gen_index(3) {
-                0 => format!("t{}", rng.gen_index(1000)),
-                1 => format!("日本語·{}", rng.gen_index(100)),
-                _ => format!("🦀✓héllo{}", rng.gen_index(10)),
-            }),
-            _ => Value::Null,
-        });
-    }
-    Record::new(fields)
+    Record::new((0..arity).map(|_| arbitrary_value(rng)).collect())
 }
 
 /// Fixpoint equivalence: the bulk, incremental, microstep and asynchronous
@@ -384,6 +385,65 @@ fn prop_page_round_trip_arbitrary_records() {
             read, records,
             "page round-trip changed records (seed {seed}, page_bytes {page_bytes})"
         );
+    }
+}
+
+/// Record representation: a record filled with `push`, which moves from
+/// inline storage to the heap at the third field, is indistinguishable from
+/// `Record::new` over the same values.  So is a cleared scratch record that
+/// kept its heap vector, and so are clones of both.  They compare, hash,
+/// order, serialize and `Display` alike, hash like the value vector itself,
+/// and give the values back unchanged through `into_fields`.
+#[test]
+fn prop_pushed_records_match_vector_built_records() {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut h = DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+    fn bytes_of(record: &Record) -> Vec<u8> {
+        let mut buf = Vec::new();
+        serialize_record(record, &mut buf);
+        buf
+    }
+
+    for seed in 0..CASES * 8 {
+        let mut rng = SmallRng::seed_from_u64(9500 + seed);
+        let arity = rng.gen_index(7);
+        let values: Vec<Value> = (0..arity).map(|_| arbitrary_value(&mut rng)).collect();
+        let reference = Record::new(values.clone());
+
+        let mut pushed = Record::empty();
+        let mut scratch = Record::new(vec![Value::Null; 3]);
+        scratch.clear();
+        for value in &values {
+            pushed.push(value.clone());
+            scratch.push(value.clone());
+        }
+        let other_arity = rng.gen_index(7);
+        let other = Record::new(
+            (0..other_arity)
+                .map(|_| arbitrary_value(&mut rng))
+                .collect(),
+        );
+
+        for candidate in [&pushed, &scratch, &pushed.clone(), &scratch.clone()] {
+            assert_eq!(candidate, &reference, "seed {seed}");
+            assert_eq!(candidate.fields(), values.as_slice(), "seed {seed}");
+            assert_eq!(hash_of(candidate), hash_of(&reference), "seed {seed}");
+            assert_eq!(hash_of(candidate), hash_of(&values), "seed {seed}");
+            assert_eq!(candidate.cmp(&reference), std::cmp::Ordering::Equal);
+            assert_eq!(
+                candidate.cmp(&other),
+                values.as_slice().cmp(other.fields()),
+                "seed {seed}"
+            );
+            assert_eq!(bytes_of(candidate), bytes_of(&reference), "seed {seed}");
+            assert_eq!(candidate.to_string(), reference.to_string(), "seed {seed}");
+            assert_eq!(candidate.clone().into_fields(), values, "seed {seed}");
+        }
     }
 }
 
