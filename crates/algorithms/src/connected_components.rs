@@ -66,13 +66,13 @@ pub struct ComponentsConfig {
     /// the worker's owned partitions instead of densifying).  The bulk
     /// variant is single-process and ignores it.
     pub transport: TransportHandle,
-    /// Per-edge credit pool of the bounded channels (see
+    /// Per-edge credit pool of the workset variants' bounded channels (see
     /// `WorksetConfig::channel_credits`): the asynchronous variant bounds
-    /// each worker→worker queue to this many records, the superstep variants
-    /// spill an outbox once it holds this many sealed pages, and the bulk
-    /// variant caps every fused (streaming) chain edge at this many in-flight
-    /// pages.  `None` falls back to `SPINNING_CHANNEL_CREDITS` or the layer
-    /// defaults; results are identical either way.
+    /// each worker→worker queue to this many records, and the superstep
+    /// variants spill an outbox once it holds this many sealed pages.  The
+    /// bulk variant ignores it: its fused chains are direct calls that hold
+    /// no pages.  `None` falls back to `SPINNING_CHANNEL_CREDITS` or the
+    /// layer defaults; results are identical either way.
     pub channel_credits: Option<usize>,
     /// Disables the bulk variant's streaming operator chains, materializing
     /// every forward edge like the pre-streaming executor did.  The escape
@@ -149,9 +149,9 @@ impl ComponentsConfig {
         self
     }
 
-    /// Bounds the bounded channels to `credits` records (async), sealed
-    /// pages per superstep outbox, or in-flight pages per bulk chain edge —
-    /// see [`ComponentsConfig::channel_credits`].  Clamped to at least 1.
+    /// Bounds the bounded channels to `credits` records (async) or sealed
+    /// pages per superstep outbox — see
+    /// [`ComponentsConfig::channel_credits`].  Clamped to at least 1.
     pub fn with_channel_credits(mut self, credits: usize) -> Self {
         self.channel_credits = Some(credits.max(1));
         self
@@ -255,9 +255,6 @@ pub fn cc_bulk(graph: &Graph, config: &ComponentsConfig) -> Result<ComponentsRes
         .with_memory_budget(config.memory_budget)
         .with_fault(config.fault.clone())
         .with_force_materialized(config.force_materialized);
-    if let Some(credits) = config.channel_credits {
-        bulk_config = bulk_config.with_channel_credits(credits);
-    }
     if let Some(policy) = &config.checkpoint {
         bulk_config = bulk_config.with_checkpoint_policy(policy.clone());
     }

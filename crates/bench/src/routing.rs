@@ -516,11 +516,10 @@ pub fn comparisons() -> Vec<Comparison> {
     //     16x expansion map → filter map → sink at 4-way parallelism.  The
     //     legacy side is the materializing executor (every forward edge
     //     buffers the full intermediate result); the current side fuses the
-    //     three operators into one streaming chain whose stages overlap and
-    //     whose edges hold at most `credits` sealed pages.  The floor pins
-    //     the chained runtime against the materializing one — thread
-    //     hand-off costs are real, so the ratio may sit near (or below) 1x;
-    //     a collapse means the chain runtime regressed.
+    //     three operators into one chain per partition, each record pushed
+    //     through the members by direct calls, so no fused edge holds a page
+    //     or an intermediate.  The floor pins the fused path against the
+    //     materializing one; a collapse means chain fusion regressed.
     let build_pipeline = || {
         let mut plan = Plan::new();
         let events: Vec<Record> = (0..PIPELINE_RECORDS as i64)
@@ -565,7 +564,7 @@ pub fn comparisons() -> Vec<Comparison> {
     all.push(Comparison {
         name: "chained_pipeline",
         description:
-            "run a source -> 16x expand -> filter -> sink pipeline at 4-way parallelism (materialize every forward edge vs one streaming chain over credit-bounded page channels)",
+            "run a source -> 16x expand -> filter -> sink pipeline at 4-way parallelism (materialize every forward edge vs one fused chain of direct calls per partition)",
         legacy,
         current,
     });

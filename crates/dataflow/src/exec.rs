@@ -12,16 +12,15 @@
 //! materialises before downstream operators run, which is always safe for
 //! the iteration execution strategies of Sections 4.2 and 5.3 (no operator
 //! can ever participate in two iterations simultaneously).  Forward edges,
-//! however, *stream*: a chain-fusion pass ([`streaming_input_slot`])
+//! however, *pipeline*: a chain-fusion pass ([`streaming_input_slot`])
 //! identifies maximal pipelineable segments — forward-shipped, uncached,
-//! single-consumer edges into a slot the consumer can stream — and executes
-//! each segment as a pipeline of concurrent stages connected by
-//! credit-bounded page channels ([`crate::credit`]).  Records flow through a
-//! chain as sealed pages, handed downstream as they seal, so a fused edge
-//! holds at most `credits × page size` bytes in flight instead of the full
-//! intermediate ([`ExecConfig::with_channel_credits`]).
+//! single-consumer edges into a slot the consumer can stream — and runs each
+//! segment as function composition, one pool task per partition.  The
+//! head's collector pushes every emitted record straight into the next
+//! member's per-partition state (a map calls its UDF, a grouping folds, a
+//! join probes), so a fused edge holds no pages and no intermediate at all.
 //! [`ExecConfig::with_force_materialized`] is the escape hatch that disables
-//! fusion (and the page-native operator paths), pinning every streaming path
+//! fusion (and the page-native operator paths), pinning every fused path
 //! byte-identical to the materializing oracle.
 //!
 //! # Exchanges move sealed pages
@@ -36,9 +35,8 @@
 //! pointers; the receiving local phase reads records back out of the pages
 //! lazily.  Only forward shipping keeps the records-as-objects fast path.
 
-use crate::contracts::{Collector, RecordSink, Udf};
-use crate::credit::{
-    credit_channel, timeout_from_env, CreditReceiver, CreditSender, RecvTimeoutError, SendError,
+use crate::contracts::{
+    Collector, CrossFunction, MapFunction, MatchFunction, RecordSink, ReduceFunction, Udf,
 };
 use crate::error::{DataflowError, Result};
 use crate::fault::{FaultInjector, FaultSite};
@@ -87,13 +85,6 @@ pub struct ExecConfig {
     /// chained paths run whenever an edge qualifies); the equivalence suites
     /// flip it to check the streaming paths produce byte-identical results.
     pub force_materialized: bool,
-    /// Per-edge credit bound of the chained (streaming) operator paths: a
-    /// fused pipeline edge holds at most this many sealed pages in flight, so
-    /// a chain's memory footprint is `credits × page size` per edge instead
-    /// of the full intermediate.  `None` (the default) reads
-    /// `SPINNING_CHANNEL_CREDITS` and falls back to
-    /// [`DEFAULT_CHAIN_CREDITS`].
-    pub channel_credits: Option<usize>,
     /// The transport every repartitioning exchange ships its sealed pages
     /// through.  Defaults to the in-process backend (pointer-moving channels
     /// in a cluster of one); the batch executor rejects multi-process
@@ -131,28 +122,7 @@ impl ExecConfig {
         self.transport = transport;
         self
     }
-
-    /// Sets the per-edge credit bound of chained (streaming) operator paths;
-    /// clamped to at least 1 (a chain must be able to make progress).
-    pub fn with_channel_credits(mut self, credits: usize) -> Self {
-        self.channel_credits = Some(credits.max(1));
-        self
-    }
-
-    /// The effective chained-edge credit bound: the explicit configuration,
-    /// else `SPINNING_CHANNEL_CREDITS`, else [`DEFAULT_CHAIN_CREDITS`].
-    pub fn resolved_channel_credits(&self) -> usize {
-        self.channel_credits
-            .or_else(crate::credit::channel_credits_from_env)
-            .unwrap_or(DEFAULT_CHAIN_CREDITS)
-            .max(1)
-    }
 }
-
-/// Default per-edge credit bound of a fused chain when neither the
-/// configuration nor `SPINNING_CHANNEL_CREDITS` specifies one: 4 sealed 32
-/// KiB pages ≈ 128 KiB in flight per edge.
-pub const DEFAULT_CHAIN_CREDITS: usize = 4;
 
 /// Cache of post-exchange inputs, keyed by (consumer operator, input slot).
 ///
@@ -630,17 +600,16 @@ impl Executor {
         }
     }
 
-    /// Executes one fused chain segment (`members`, head to tail) as a
-    /// pipeline: every member runs one stage thread per partition, connected
-    /// along the fused edges by credit-bounded channels of sealed pages.
+    /// Executes one fused chain segment (`members`, head to tail) by direct
+    /// calls: one pool task per partition runs the head's ordinary local
+    /// phase, and every record the head emits is pushed straight through the
+    /// downstream members ([`FusedMember`]) — a fused edge holds no pages
+    /// and no buffered intermediate.
     ///
     /// Side inputs (the non-fused slots — a hash join's build side, a
     /// cross's broadcast side) are prepared on this thread exactly like the
     /// materializing path prepares them; the topological walk dispatches the
     /// segment at its *tail*, by which point every side producer has run.
-    /// Dedicated `thread::scope` threads carry the stages — the shared
-    /// worker pool would deadlock, since stages block on channel credits
-    /// while holding a pool worker.
     #[allow(clippy::too_many_arguments)]
     fn execute_segment(
         &self,
@@ -655,17 +624,12 @@ impl Executor {
         let plan = &physical.plan;
         let parallelism = physical.parallelism;
         let page_native = !self.config.force_materialized;
-        let credits = self.config.resolved_channel_credits();
-        let timeout = timeout_from_env();
         let fault = &self.config.fault;
 
-        struct Member<'p> {
-            op: &'p Operator,
-            local: LocalStrategy,
-            stream_slot: Option<usize>,
-            partition_inputs: Vec<Vec<LocalInput>>,
-        }
-        let mut prepared_members: Vec<Member<'_>> = Vec::with_capacity(members.len());
+        let mut stages: Vec<Stage<'_>> = Vec::with_capacity(members.len());
+        let mut partition_inputs: Vec<Vec<Vec<LocalInput>>> = (0..parallelism)
+            .map(|_| Vec::with_capacity(members.len()))
+            .collect();
         for (pos, &mid) in members.iter().enumerate() {
             let op = plan.operator(mid);
             let choice = physical.choice(mid);
@@ -696,137 +660,79 @@ impl Executor {
                 )?);
             }
             let arity = prepared.len();
-            prepared_members.push(Member {
+            for (inputs, member_inputs) in split_by_partition(prepared, parallelism, arity)
+                .into_iter()
+                .zip(partition_inputs.iter_mut())
+            {
+                member_inputs.push(inputs);
+            }
+            stages.push(Stage {
                 op,
                 local: choice.local,
                 stream_slot,
-                partition_inputs: split_by_partition(prepared, parallelism, arity),
             });
         }
 
-        // Wire the stages: one credit channel per fused edge per partition
-        // (stage `pos` of partition `p` sends to stage `pos + 1` of the same
-        // partition — fused edges are forward edges, they never cross
-        // partitions).
-        let tail_pos = members.len() - 1;
-        let mut specs: Vec<StageSpec<'_>> = Vec::with_capacity(members.len() * parallelism);
-        let mut pending_rx: Vec<Option<CreditReceiver<Arc<RecordPage>>>> =
+        // Fused edges are forward edges: partition `p` of every member feeds
+        // partition `p` of the next, so each partition's whole segment runs
+        // as one task.  A panic anywhere in it unwinds through every member's
+        // frame, so the error names the segment, head to tail.
+        let mut outcomes: Vec<Option<Result<FusedOutcome>>> =
             (0..parallelism).map(|_| None).collect();
-        for (pos, member) in prepared_members.into_iter().enumerate() {
-            for (p, inputs) in member.partition_inputs.into_iter().enumerate() {
-                let (tx, next_rx) = if pos < tail_pos {
-                    let (tx, rx) = credit_channel(credits, timeout);
-                    (Some(tx), Some(rx))
-                } else {
-                    (None, None)
-                };
-                let rx = std::mem::replace(&mut pending_rx[p], next_rx);
-                specs.push(StageSpec {
-                    op: member.op,
-                    local: member.local,
-                    stream_slot: member.stream_slot,
-                    inputs,
-                    tx,
-                    rx,
-                });
-            }
-        }
+        let stages = &stages;
+        spinning_pool::global()
+            .try_scope(|scope| {
+                for (inputs, slot) in partition_inputs.into_iter().zip(outcomes.iter_mut()) {
+                    scope.spawn_labeled("chained-segment", move || {
+                        *slot = Some(run_fused(stages, inputs, page_native, fault));
+                    });
+                }
+            })
+            .map_err(|panic| DataflowError::WorkerPanic {
+                operator: stages
+                    .iter()
+                    .map(|stage| stage.op.name.as_str())
+                    .collect::<Vec<_>>()
+                    .join(" → "),
+                superstep: 0,
+                message: panic.message(),
+            })?;
 
-        // Run every stage of every partition concurrently and join them all;
-        // a panicking stage surfaces as a typed worker panic.
-        let mut outcomes: Vec<Result<StageOutcome>> = Vec::with_capacity(specs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<(
-                String,
-                std::thread::ScopedJoinHandle<'_, Result<StageOutcome>>,
-            )> = specs
-                .into_iter()
-                .map(|spec| {
-                    let name = spec.op.name.clone();
-                    let handle = scope.spawn(move || run_stage(spec, page_native, fault, timeout));
-                    (name, handle)
-                })
-                .collect();
-            for (name, handle) in handles {
-                outcomes.push(handle.join().unwrap_or_else(|payload| {
-                    Err(DataflowError::WorkerPanic {
-                        operator: name,
-                        superstep: 0,
-                        message: panic_message(&*payload),
-                    })
-                }));
-            }
-        });
-
-        // A stage whose downstream died sees a channel hang-up, not the root
-        // cause — report panics first, then the first non-hang-up error in
-        // stage order, and the hang-up itself only if nothing else explains
-        // the failure.
-        let mut panic_err: Option<DataflowError> = None;
-        let mut real_err: Option<DataflowError> = None;
-        let mut hangup_err: Option<DataflowError> = None;
-        let mut results: Vec<StageOutcome> = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            match outcome {
-                Ok(result) => results.push(result),
-                Err(err) => match &err {
-                    DataflowError::WorkerPanic { .. } if panic_err.is_none() => {
-                        panic_err = Some(err)
-                    }
-                    DataflowError::ExecutionFailed(msg) if msg == CHAIN_DISCONNECT_MSG => {
-                        hangup_err.get_or_insert(err);
-                    }
-                    _ if real_err.is_none() => real_err = Some(err),
-                    _ => {}
-                },
-            }
-        }
-        if let Some(err) = panic_err.or(real_err).or(hangup_err) {
-            return Err(err);
-        }
-
-        // Per-member accounting: stage outcomes arrive member-major (the
-        // spawn order), `parallelism` partitions per member.
-        debug_assert_eq!(results.len(), members.len() * parallelism);
-        let mut agg: Vec<StageAgg> = vec![StageAgg::default(); members.len()];
+        let mut counts = vec![(0usize, 0usize); stages.len()];
+        let mut elapsed = Duration::ZERO;
         let mut tail_parts: Vec<Partition> = Vec::with_capacity(parallelism);
-        for (i, outcome) in results.into_iter().enumerate() {
-            let pos = i / parallelism;
-            agg[pos].records_in += outcome.records_in;
-            agg[pos].records_out += outcome.records_out;
-            agg[pos].elapsed += outcome.elapsed;
-            agg[pos].high_water = agg[pos].high_water.max(outcome.high_water);
-            if pos == tail_pos {
-                tail_parts.push(outcome.result);
+        for slot in outcomes {
+            let outcome = slot.expect("pool ran every partition task")?;
+            for (total, (records_in, records_out)) in counts.iter_mut().zip(outcome.counts) {
+                total.0 += records_in;
+                total.1 += records_out;
             }
+            elapsed += outcome.elapsed;
+            tail_parts.push(outcome.records);
         }
-        for (pos, &mid) in members.iter().enumerate() {
-            let op = plan.operator(mid);
-            let member_agg = &agg[pos];
+        let tail_pos = stages.len() - 1;
+        for (pos, (stage, (records_in, records_out))) in stages.iter().zip(counts).enumerate() {
             if pos < tail_pos {
                 // Fused-edge records stay inside their partition — the same
                 // accounting a materializing forward exchange applies.
-                stats.local_records += member_agg.records_out;
-            }
-            if pos > 0 {
-                stats.peak_chain_pages = stats.peak_chain_pages.max(member_agg.high_water);
+                stats.local_records += records_out;
             }
             stats.operators.push(OperatorStats {
-                name: op.name.clone(),
-                contract: op.kind.contract_name().to_owned(),
-                records_in: member_agg.records_in,
-                records_out: member_agg.records_out,
-                elapsed: member_agg.elapsed,
+                name: stage.op.name.clone(),
+                contract: stage.op.kind.contract_name().to_owned(),
+                records_in,
+                records_out,
+                elapsed,
             });
         }
-        stats.chained_operators += members.len();
+        stats.chained_operators += stages.len();
 
-        let tail_id = members[tail_pos];
+        let tail = stages[tail_pos].op;
         let result_parts = Arc::new(tail_parts);
-        if let OperatorKind::Sink { name } = &plan.operator(tail_id).kind {
+        if let OperatorKind::Sink { name } = &tail.kind {
             sink_outputs.insert(name.clone(), Arc::clone(&result_parts));
         }
-        outputs.insert(tail_id, result_parts);
+        outputs.insert(tail.id, result_parts);
         Ok(())
     }
 }
@@ -1003,110 +909,264 @@ fn compute_chain_segments(physical: &PhysicalPlan) -> ChainPlan {
     chain
 }
 
-/// Marker message of the chain-hang-up error: a stage whose downstream
-/// receiver died mid-stream.  Kept distinguishable so segment error
-/// reporting can prefer the root cause over the ripple.
-const CHAIN_DISCONNECT_MSG: &str = "chained edge receiver hung up mid-stream";
-
-/// One stage (member × partition) of a fused segment, ready to spawn.
-struct StageSpec<'p> {
+/// One member of a fused segment, as the per-partition tasks see it.
+struct Stage<'p> {
     op: &'p Operator,
     local: LocalStrategy,
-    /// The fused input slot this stage streams from (`None` for the head,
-    /// which reads materialized inputs like any operator).
+    /// The fused input slot this member consumes (`None` for the head, which
+    /// reads materialized inputs like any operator).
     stream_slot: Option<usize>,
-    /// Materialized side inputs in slot order, the streamed slot absent.
-    inputs: Vec<LocalInput>,
-    /// Downstream fused edge (`None` for the tail).
-    tx: Option<CreditSender<Arc<RecordPage>>>,
-    /// Upstream fused edge (`None` for the head).
-    rx: Option<CreditReceiver<Arc<RecordPage>>>,
 }
 
-/// What one stage reports back to the segment driver.
-struct StageOutcome {
-    records_in: usize,
-    records_out: usize,
+/// What one partition of a fused segment reports back.
+struct FusedOutcome {
+    /// `(records_in, records_out)` per member, head first.
+    counts: Vec<(usize, usize)>,
     elapsed: Duration,
-    /// Receiver high-water mark of the upstream fused edge (0 for heads).
-    high_water: usize,
-    /// The tail's output partition (empty for non-tail stages — their
-    /// records left through the chain).
-    result: Vec<Record>,
+    /// The tail's output partition.
+    records: Vec<Record>,
 }
 
-/// Per-member aggregation of [`StageOutcome`]s across partitions.
-#[derive(Clone, Default)]
-struct StageAgg {
-    records_in: usize,
-    records_out: usize,
-    elapsed: Duration,
-    high_water: usize,
-}
-
-/// The producing end of one fused edge: a [`RecordSink`] that serializes
-/// emitted records into pages and hands each page downstream **as it
-/// seals**, blocking on the edge's credit pool — this is what bounds a
-/// running chain to `credits × page size` bytes per edge.
-///
-/// Emission is infallible from the UDF's view; the first send failure is
-/// recorded and every later page is dropped (the whole segment's results are
-/// discarded on any stage error, so the partial stream is never observed).
-struct ChainStream {
-    writer: PageWriter,
-    tx: CreditSender<Arc<RecordPage>>,
-    sent_records: usize,
-    error: Option<DataflowError>,
-}
-
-impl ChainStream {
-    fn new(tx: CreditSender<Arc<RecordPage>>) -> Self {
-        ChainStream {
-            writer: PageWriter::new(),
-            tx,
-            sent_records: 0,
-            error: None,
-        }
+/// Runs one partition of a fused segment: the downstream members are built
+/// tail first, each streaming into the next, and the head's ordinary local
+/// phase emits into the first of them.  Finishing the members head to tail
+/// then lets groupings emit their groups downstream.
+fn run_fused(
+    stages: &[Stage<'_>],
+    inputs: Vec<Vec<LocalInput>>,
+    page_native: bool,
+    fault: &FaultInjector,
+) -> Result<FusedOutcome> {
+    let start = Instant::now();
+    // One dispatch event per member × partition, so seeded fault schedules
+    // count the same events as when every member ran on its own.
+    for stage in stages {
+        fault.panic_check(FaultSite::WorkerPanic, &stage.op.name);
     }
+    let mut inputs = inputs.into_iter();
+    let head_inputs = inputs.next().expect("a segment has a head");
+    let mut out = Collector::new();
+    for (stage, side_inputs) in stages[1..].iter().zip(inputs).rev() {
+        let member = FusedMember::new(stage, side_inputs, fault, out)?;
+        out = Collector::with_sink(Box::new(member));
+    }
+    let head = &stages[0];
+    let records_in = run_local(
+        head.op,
+        head.local,
+        head_inputs,
+        page_native,
+        fault,
+        &mut out,
+    )?;
+    let mut counts = vec![(records_in, out.len())];
+    while let Some(sink) = out.take_sink() {
+        let mut member = sink
+            .into_any()
+            .downcast::<FusedMember>()
+            .expect("fused members stream into fused members");
+        member.finish();
+        counts.push((member.records_in, member.out.len()));
+        out = member.out;
+    }
+    Ok(FusedOutcome {
+        counts,
+        elapsed: start.elapsed(),
+        records: out.into_records(),
+    })
+}
 
-    fn send_page(&mut self, page: Arc<RecordPage>) {
-        if self.error.is_some() {
-            return;
+/// A downstream member of a fused segment on one partition: the
+/// [`RecordSink`] its upstream neighbour's collector pushes every emitted
+/// record into.  Each consumer keeps only its operator's own state, and every
+/// emission path matches [`run_local`]'s record for record, which is what
+/// keeps chained and materialized executions byte-identical.
+struct FusedMember {
+    consumer: FusedConsumer,
+    /// Side-input records plus every record pushed so far.
+    records_in: usize,
+    /// Streams into the next member, or buffers the segment's output at the
+    /// tail.
+    out: Collector,
+}
+
+/// The per-partition state of one fused consumer.
+enum FusedConsumer {
+    Map(Arc<dyn MapFunction>),
+    Sink,
+    /// Folds the stream into the group table (the pre-aggregation shape),
+    /// emitting in key order on finish like the materializing path.
+    HashGroup {
+        key: KeyFields,
+        udf: Arc<dyn ReduceFunction>,
+        groups: FxHashMap<Key, Vec<Record>>,
+    },
+    /// Buffers the stream and pays the same sort the materializing SortGroup
+    /// path pays on an unsorted forward input (forward edges deliver no
+    /// order).
+    SortGroup {
+        key: KeyFields,
+        udf: Arc<dyn ReduceFunction>,
+        records: Vec<Record>,
+    },
+    /// A hash join probing with the stream: the table indexes the
+    /// materialized build side, matches come out in build order.  Stream slot
+    /// 0 probes left (build=right), slot 1 probes right (build=left) — the
+    /// same assignment, argument positions included, that `run_match` makes.
+    Probe {
+        probe_key: KeyFields,
+        udf: Arc<dyn MatchFunction>,
+        build: Vec<Record>,
+        table: FxHashMap<Key, Vec<usize>>,
+        probe_left: bool,
+    },
+    /// A nested-loop cross streaming its left side against the materialized
+    /// right side.
+    Cross {
+        udf: Arc<dyn CrossFunction>,
+        right: Vec<Record>,
+    },
+}
+
+impl FusedMember {
+    fn new(
+        stage: &Stage<'_>,
+        side_inputs: Vec<LocalInput>,
+        fault: &FaultInjector,
+        out: Collector,
+    ) -> Result<Self> {
+        let op = stage.op;
+        let records_in = side_inputs.iter().map(LocalInput::len).sum();
+        // The same executor-side spill-read fault gate as `run_local`: side
+        // inputs can arrive as spilled runs under a memory budget.
+        for input in &side_inputs {
+            if input.has_spilled_runs() {
+                fault.io_check(FaultSite::SpillRead)?;
+            }
         }
-        self.sent_records += page.record_count();
-        if let Err(err) = self.tx.send(page) {
-            self.error = Some(match err {
-                SendError::Timeout(_) => DataflowError::CommTimeout(
-                    "a chained-edge credit (downstream stage stalled)".into(),
-                ),
-                SendError::Disconnected(_) => {
-                    DataflowError::ExecutionFailed(CHAIN_DISCONNECT_MSG.into())
+        let mut side_inputs = side_inputs.into_iter();
+        let mut side_records = || -> Result<Vec<Record>> {
+            let input = side_inputs
+                .next()
+                .expect("plan validation checked input arity");
+            Ok(input.into_records()?)
+        };
+        let consumer = match (&op.kind, &op.udf) {
+            (OperatorKind::Map, Udf::Map(udf)) => FusedConsumer::Map(Arc::clone(udf)),
+            (OperatorKind::Sink { .. }, _) => FusedConsumer::Sink,
+            (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => match stage.local {
+                LocalStrategy::SortGroup => FusedConsumer::SortGroup {
+                    key: key.clone(),
+                    udf: Arc::clone(udf),
+                    records: Vec::new(),
+                },
+                _ => FusedConsumer::HashGroup {
+                    key: key.clone(),
+                    udf: Arc::clone(udf),
+                    groups: FxHashMap::default(),
+                },
+            },
+            (
+                OperatorKind::Match {
+                    left_key,
+                    right_key,
+                },
+                Udf::Match(udf),
+            ) => {
+                let probe_left = stage.stream_slot == Some(0);
+                let (build_key, probe_key) = if probe_left {
+                    (right_key, left_key)
+                } else {
+                    (left_key, right_key)
+                };
+                let build = side_records()?;
+                let mut table: FxHashMap<Key, Vec<usize>> = FxHashMap::default();
+                for (i, record) in build.iter().enumerate() {
+                    table
+                        .entry(Key::extract(record, build_key))
+                        .or_default()
+                        .push(i);
                 }
-            });
-        }
+                FusedConsumer::Probe {
+                    probe_key: probe_key.clone(),
+                    udf: Arc::clone(udf),
+                    build,
+                    table,
+                    probe_left,
+                }
+            }
+            (OperatorKind::Cross, Udf::Cross(udf)) => FusedConsumer::Cross {
+                udf: Arc::clone(udf),
+                right: side_records()?,
+            },
+            (kind, _) => unreachable!(
+                "operator contract {} cannot consume a fused edge",
+                kind.contract_name()
+            ),
+        };
+        Ok(FusedMember {
+            consumer,
+            records_in,
+            out,
+        })
     }
 
-    /// Seals and sends the trailing partial page, then reports the first
-    /// send failure (if any).  Dropping the sender signals end-of-stream to
-    /// the downstream stage.
-    fn finish(mut self) -> Result<usize> {
-        let writer = std::mem::take(&mut self.writer);
-        for page in writer.finish() {
-            self.send_page(page);
-        }
-        match self.error.take() {
-            Some(err) => Err(err),
-            None => Ok(self.sent_records),
+    /// Emits what the member held back until its input ended: the groups of
+    /// a grouping.  Every other consumer already emitted on push.
+    fn finish(&mut self) {
+        let out = &mut self.out;
+        match &mut self.consumer {
+            FusedConsumer::HashGroup { udf, groups, .. } => {
+                emit_grouped(std::mem::take(groups), udf.as_ref(), out);
+            }
+            FusedConsumer::SortGroup { key, udf, records } => {
+                sort_by_key(records, key);
+                for (start, end) in group_ranges(records, key) {
+                    let group = &records[start..end];
+                    let k = Key::extract(&group[0], key);
+                    udf.reduce(&k.values(), group, out);
+                }
+            }
+            _ => {}
         }
     }
 }
 
-impl RecordSink for ChainStream {
+impl RecordSink for FusedMember {
     fn push(&mut self, record: Record) {
-        self.writer.push(&record);
-        if self.writer.sealed_page_count() > 0 {
-            for page in self.writer.take_sealed() {
-                self.send_page(page);
+        self.records_in += 1;
+        let out = &mut self.out;
+        match &mut self.consumer {
+            FusedConsumer::Map(udf) => udf.map(&record, out),
+            FusedConsumer::Sink => out.collect(record),
+            FusedConsumer::HashGroup { key, groups, .. } => {
+                groups
+                    .entry(Key::extract(&record, key))
+                    .or_default()
+                    .push(record);
+            }
+            FusedConsumer::SortGroup { records, .. } => records.push(record),
+            FusedConsumer::Probe {
+                probe_key,
+                udf,
+                build,
+                table,
+                probe_left,
+            } => {
+                if let Some(matches) = table.get(&Key::extract(&record, probe_key)) {
+                    for &i in matches {
+                        if *probe_left {
+                            udf.join(&record, &build[i], out);
+                        } else {
+                            udf.join(&build[i], &record, out);
+                        }
+                    }
+                }
+            }
+            FusedConsumer::Cross { udf, right } => {
+                for r in right.iter() {
+                    udf.cross(&record, r, out);
+                }
             }
         }
     }
@@ -1114,224 +1174,6 @@ impl RecordSink for ChainStream {
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
         self
     }
-}
-
-/// Renders a stage thread's panic payload (mirrors the worker pool's panic
-/// message extraction).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "chained stage panicked".to_owned()
-    }
-}
-
-/// Runs one stage of a fused segment: the head runs the ordinary local
-/// phase with its collector streaming into the chain; downstream stages
-/// consume the chain via [`run_chained`], themselves streaming onward (mid)
-/// or buffering the segment's output (tail).
-fn run_stage(
-    spec: StageSpec<'_>,
-    page_native: bool,
-    fault: &FaultInjector,
-    timeout: Duration,
-) -> Result<StageOutcome> {
-    let start = Instant::now();
-    fault.panic_check(FaultSite::WorkerPanic, "chained-operator");
-    let StageSpec {
-        op,
-        local,
-        stream_slot,
-        inputs,
-        tx,
-        rx,
-    } = spec;
-    let mut collector = match tx {
-        Some(tx) => Collector::with_sink(Box::new(ChainStream::new(tx))),
-        None => Collector::new(),
-    };
-    let (records_in, high_water) = match (stream_slot, rx) {
-        (None, None) => (
-            run_local(op, local, inputs, page_native, fault, &mut collector)?,
-            0,
-        ),
-        (Some(slot), Some(rx)) => {
-            let records_in =
-                run_chained(op, local, slot, inputs, &rx, timeout, fault, &mut collector)?;
-            (records_in, rx.high_water())
-        }
-        _ => unreachable!("only heads lack a receiver, and heads have no stream slot"),
-    };
-    let records_out = collector.len();
-    let result = match collector.take_sink() {
-        Some(sink) => {
-            let stream = sink
-                .into_any()
-                .downcast::<ChainStream>()
-                .expect("chain stages stream through ChainStream");
-            stream.finish()?;
-            Vec::new()
-        }
-        None => collector.into_records(),
-    };
-    Ok(StageOutcome {
-        records_in,
-        records_out,
-        elapsed: start.elapsed(),
-        high_water,
-        result,
-    })
-}
-
-/// Runs one downstream member of a fused chain on one partition: consumes
-/// the fused edge page by page as upstream seals them; side inputs (a hash
-/// join's build side, a cross's broadcast side) arrive materialized, exactly
-/// as the materializing path would prepare them.  Every emission path
-/// matches [`run_local`]'s record-for-record, which is what keeps chained
-/// and materialized executions byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn run_chained(
-    op: &Operator,
-    local: LocalStrategy,
-    stream_slot: usize,
-    side_inputs: Vec<LocalInput>,
-    rx: &CreditReceiver<Arc<RecordPage>>,
-    timeout: Duration,
-    fault: &FaultInjector,
-    out: &mut Collector,
-) -> Result<usize> {
-    let mut records_in: usize = side_inputs.iter().map(LocalInput::len).sum();
-    // The same executor-side spill-read fault gate as `run_local`: side
-    // inputs can arrive as spilled runs under a memory budget.
-    for input in &side_inputs {
-        if input.has_spilled_runs() {
-            fault.io_check(FaultSite::SpillRead)?;
-        }
-    }
-    let mut side_inputs = side_inputs.into_iter();
-
-    // Pulls every streamed record through `f` (deserialized into one scratch
-    // record, like the paged read paths) until upstream hangs up — sender
-    // drop is the chain's end-of-stream marker.
-    let for_each_streamed = |f: &mut dyn FnMut(&Record)| -> Result<usize> {
-        let mut scratch = Record::empty();
-        let mut count = 0usize;
-        loop {
-            match rx.recv_timeout(timeout) {
-                Ok(page) => {
-                    for view in page.reader() {
-                        view.read_into(&mut scratch);
-                        count += 1;
-                        f(&scratch);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return Ok(count),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(DataflowError::CommTimeout(format!(
-                        "pages on the chained edge into '{}'",
-                        op.name
-                    )))
-                }
-            }
-        }
-    };
-
-    match (&op.kind, &op.udf) {
-        (OperatorKind::Map, Udf::Map(udf)) => {
-            records_in += for_each_streamed(&mut |record| udf.map(record, out))?;
-        }
-        (OperatorKind::Sink { .. }, _) => {
-            records_in += for_each_streamed(&mut |record| out.collect(record.clone()))?;
-        }
-        (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => match local {
-            LocalStrategy::SortGroup => {
-                // The stream carries no delivered order (forward edges never
-                // do), so this pays the same sort the materializing SortGroup
-                // path pays on an unsorted forward input.
-                let mut records: Vec<Record> = Vec::new();
-                records_in += for_each_streamed(&mut |record| records.push(record.clone()))?;
-                sort_by_key(&mut records, key);
-                for (start, end) in group_ranges(&records, key) {
-                    let group = &records[start..end];
-                    let k = Key::extract(&group[0], key);
-                    udf.reduce(&k.values(), group, out);
-                }
-            }
-            _ => {
-                // HashGroup and any other strategy: fold the stream into the
-                // group table as pages arrive (the pre-aggregation shape —
-                // state is one table, never the full input), then emit in
-                // key order like the materializing path.
-                let mut groups: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
-                records_in += for_each_streamed(&mut |record| {
-                    groups
-                        .entry(Key::extract(record, key))
-                        .or_default()
-                        .push(record.clone());
-                })?;
-                emit_grouped(groups, udf.as_ref(), out);
-            }
-        },
-        (
-            OperatorKind::Match {
-                left_key,
-                right_key,
-            },
-            Udf::Match(udf),
-        ) => {
-            // The build side is the materialized side input; the fused edge
-            // streams the probe side.  Stream slot 0 means probe-left
-            // (build=right), stream slot 1 probe-right (build=left) — the
-            // same build/probe assignment `run_match` makes, including the
-            // join argument positions.
-            let build = side_inputs
-                .next()
-                .expect("a chained hash join keeps its build side input");
-            let probe_left = stream_slot == 0;
-            let (build_key, probe_key) = if probe_left {
-                (right_key, left_key)
-            } else {
-                (left_key, right_key)
-            };
-            let build_records = build.into_records()?;
-            let mut table: FxHashMap<Key, Vec<&Record>> = FxHashMap::default();
-            for record in &build_records {
-                table
-                    .entry(Key::extract(record, build_key))
-                    .or_default()
-                    .push(record);
-            }
-            records_in += for_each_streamed(&mut |probe| {
-                if let Some(matches) = table.get(&Key::extract(probe, probe_key)) {
-                    for build_side in matches {
-                        if probe_left {
-                            udf.join(probe, build_side, out);
-                        } else {
-                            udf.join(build_side, probe, out);
-                        }
-                    }
-                }
-            })?;
-        }
-        (OperatorKind::Cross, Udf::Cross(udf)) => {
-            let right_records = side_inputs
-                .next()
-                .expect("a chained cross keeps its right side input")
-                .into_records()?;
-            records_in += for_each_streamed(&mut |left| {
-                for right in &right_records {
-                    udf.cross(left, right, out);
-                }
-            })?;
-        }
-        (kind, _) => unreachable!(
-            "operator contract {} cannot consume a fused edge",
-            kind.contract_name()
-        ),
-    }
-    Ok(records_in)
 }
 
 /// Marks the operators whose output no one needs in this execution: every

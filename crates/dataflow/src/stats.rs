@@ -23,6 +23,9 @@ pub struct OperatorStats {
     pub records_out: usize,
     /// Wall-clock time spent in the operator's local work (summed over
     /// partitions; parallel instances overlap, so this is CPU-time-like).
+    /// Members of a fused chain run interleaved on one call stack, so each
+    /// of them reports its whole segment's time: the partition tasks'
+    /// durations, summed over partitions.
     pub elapsed: Duration,
 }
 
@@ -50,13 +53,13 @@ pub struct ExecutionStats {
     /// Number of input edges served from the loop-invariant cache instead of
     /// being re-shipped.
     pub cache_hits: usize,
-    /// Operators that ran as members of fused (streaming) chains instead of
+    /// Operators that ran as members of fused chains instead of
     /// materializing their forward input (see `crate::exec`).
     pub chained_operators: usize,
-    /// Maximum sealed pages any single chained edge ever had in flight — by
-    /// construction bounded by the configured channel credits, which is what
-    /// makes the chain's memory bound (`credits × page size` per edge)
-    /// observable.
+    /// Sealed pages held on a fused chain edge.  Always 0: fused members
+    /// call each other directly, so a chain edge holds no pages.  The field
+    /// stays only because the job-level benchmark reports it; it retires
+    /// with the trace-backed statistics (ROADMAP item 4).
     pub peak_chain_pages: usize,
     /// Wall-clock time of the whole plan execution.
     pub elapsed: Duration,
@@ -137,7 +140,7 @@ impl ExecutionStats {
         }
         out.push_str(&format!(
             "shipped={} records ({} bytes), spilled={} bytes in {} runs, local={}, \
-             cache_hits={}, chained={} ops (peak {} pages/edge), elapsed={:.2} ms\n",
+             cache_hits={}, chained={} ops, elapsed={:.2} ms\n",
             self.shipped_records,
             self.shipped_bytes,
             self.spilled_bytes,
@@ -145,7 +148,6 @@ impl ExecutionStats {
             self.local_records,
             self.cache_hits,
             self.chained_operators,
-            self.peak_chain_pages,
             self.elapsed.as_secs_f64() * 1e3
         ));
         out
